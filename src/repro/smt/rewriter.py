@@ -28,6 +28,8 @@ atoms between composite sets are handled by ``setreduce``.
 
 from __future__ import annotations
 
+from typing import Dict, Optional
+
 from .terms import (
     Term,
     mk_and,
@@ -42,9 +44,14 @@ from .terms import (
 __all__ = ["rewrite"]
 
 
-def rewrite(term: Term) -> Term:
-    """Bottom-up exhaustive application of the elimination rules."""
-    cache: dict = {}
+def rewrite(term: Term, cache: Optional[Dict[Term, Term]] = None) -> Term:
+    """Bottom-up exhaustive application of the elimination rules.
+
+    ``cache`` memoises rewritten subterms; pass the same dict to later
+    calls to share that work across terms (the result depends only on
+    the term, so a long-lived memo never changes an answer)."""
+    if cache is None:
+        cache = {}
 
     def walk(t: Term) -> Term:
         got = cache.get(t)

@@ -27,7 +27,11 @@ constraint is either a valid fact of set semantics or a fresh-witness
 Skolem axiom, so asserting deltas permanently -- across push/pop of the
 goals that introduced them -- is sound for every later goal, and keeping
 earlier goals' elements in the universe only adds redundant (valid)
-pointwise instances.
+pointwise instances.  Deltas come back rewritten through one memo that
+lives as long as the reducer: successive instances share most of their
+subterms (the same set terms against each new element), so each is
+rewritten once.  The incremental solver rebuilds its reducer at
+retired-goal collection, which bounds the memo with the context.
 """
 
 from __future__ import annotations
@@ -63,6 +67,7 @@ class IncrementalSetReducer:
         self.elems_by_sort: Dict[object, List[Term]] = {}
         self._elem_seen: Set[Term] = set()
         self._atom_order: List[Term] = []
+        self._rewrite_cache: Dict[Term, Term] = {}  # see the module docstring
 
     def _add_elem(self, e: Term) -> bool:
         if e in self._elem_seen:
@@ -100,10 +105,10 @@ class IncrementalSetReducer:
         """Record ``formula``'s atoms and elements; return the delta
         constraints the accumulated reduction now additionally needs.
 
-        Deltas are rewritten individually for callers that assert them
-        directly (the incremental solver); ``reduce_sets`` passes
-        ``rewrite_deltas=False`` because it rewrites the whole conjunction
-        once at the end anyway."""
+        Deltas are rewritten through the reducer's memo for callers that
+        assert them directly (the incremental solver); ``reduce_sets``
+        passes ``rewrite_deltas=False`` because it rewrites the whole
+        conjunction once at the end anyway."""
         new_atoms: List[Term] = []
         new_elems: List[Term] = []
         known = self._atom_order
@@ -156,7 +161,7 @@ class IncrementalSetReducer:
             known.append(atom)
         if not constraints or not rewrite_deltas:
             return constraints
-        return [rewrite(c) for c in constraints]
+        return [rewrite(c, self._rewrite_cache) for c in constraints]
 
     def _set_witness(self, atom: Term, w: Term) -> None:
         for table in (self.eq_atoms, self.subset_atoms, self.bound_atoms):

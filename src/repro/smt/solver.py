@@ -9,7 +9,9 @@ methodology guarantees):
    definitions.
 3. ``reduce_sets``: finite pointwise reduction of set equalities/subsets.
 4. split clauses for numeric equality atoms (``a=b or a<b or a>b``).
-5. Tseitin CNF; every theory atom becomes a SAT variable.
+5. Tseitin CNF; every theory atom becomes a SAT variable.  (The
+   incremental solver asserts its set-reduction instances as clauses
+   instead; see below.)
 6. CDCL search; each trail literal is asserted into the congruence closure
    and/or the simplex solver, which veto with explanation-based conflict
    clauses.
@@ -32,6 +34,12 @@ lifted to CDCL(T)).  Learned clauses, theory lemmas and Tseitin encodings
 carry over between goals; everything asserted permanently is either from
 the shared prefix, definitional (ite guards), or theory-valid (set
 reduction instances), so per-goal verdicts match a from-scratch solve.
+Set-reduction instances, the bulk of a batch's encoding, are not
+Tseitin-encoded: each is asserted at level 0 as the clauses of its
+top-level ``and``/``or``/``implies``/``not`` structure over the literals
+of its leaves, which is equivalent to asserting it as a unit but adds no
+variable for its boolean shell.  The prefix, goals and ite guards keep
+the Tseitin encoding, as does the one-shot :meth:`Solver.check`.
 """
 
 from __future__ import annotations
@@ -569,7 +577,8 @@ class IncrementalSolver(Solver):
     ``solve(assumptions=[act])``, then retired with a permanent unit
     ``~act``, so goals never constrain each other.  Side conditions
     produced by preprocessing (ite purification guards, finite set
-    reduction instances) are asserted *permanently*: they are
+    reduction instances, the latter as clauses rather than Tseitin units)
+    are asserted *permanently*: they are
     definitional or theory-valid, hence harmless to every other goal,
     and asserting them unguarded is what keeps the accumulated element
     universe complete when later goals mention the same element terms.
@@ -585,8 +594,11 @@ class IncrementalSolver(Solver):
     #: context is rebuilt from the recorded shared prefix alone --
     #: exactly the state a fresh solver would build, so verdicts are
     #: unaffected.  This is what lets the engine's ``batch_node_limit``
-    #: default far above the old 200-node ceiling.
-    GC_MIN_VARS = 2000
+    #: default far above the old 200-node ceiling.  The floor counts
+    #: variables, and set-reduction instances (asserted as clauses) add
+    #: none of their own, so it sits low: a context kept longer carries
+    #: the retired goals' set elements into every later search.
+    GC_MIN_VARS = 750
 
     def __init__(
         self,
@@ -613,9 +625,60 @@ class IncrementalSolver(Solver):
 
     def _reduce_and_assert_deltas(self, term: Term) -> None:
         """Feed ``term`` to the incremental set reducer and permanently
-        assert whatever pointwise instances the universe now needs."""
-        for constraint in self._reducer.add(term):
-            self._assert_permanent(constraint)
+        assert, as clauses, whatever pointwise instances the universe now
+        needs."""
+        deltas = self._reducer.add(term)
+        if deltas:
+            self.sat._cancel_until(0)
+            for constraint in deltas:
+                self._assert_clauses(constraint)
+
+    def _assert_clauses(self, formula: Term) -> None:
+        """Permanently assert ``formula`` as the clauses of its top-level
+        boolean structure instead of one Tseitin-encoded unit.  The SAT
+        core must be at decision level 0.
+
+        ``and`` / ``or`` / ``implies`` / ``not`` are flattened into
+        disjunctions of literals; each clause distributes over at most one
+        conjunction, so the clause count stays linear in the formula's
+        tree size.  Leaves and any further conjunctions go through
+        :meth:`_formula_lit`.  A unit asserted at level 0 is equivalent to
+        its top-level clauses, so this only sheds the shell's variables."""
+        stack = [([], [(formula, True)])]
+        while stack:
+            lits, todo = stack.pop()
+            split = None  # conjuncts this clause is distributed over
+            while todo:
+                t, pos = todo.pop()
+                op = t.op
+                if op == "not":
+                    todo.append((t.args[0], not pos))
+                    continue
+                if op == "boolconst":
+                    if t.value == pos:
+                        break  # clause satisfied
+                    continue  # false literal: drop it
+                if op == "implies":
+                    a, b = t.args
+                    parts = [(a, not pos), (b, pos)]
+                elif op == "and" or op == "or":
+                    parts = [(a, pos) for a in t.args]
+                else:
+                    parts = None
+                if parts is not None:
+                    if pos == (op != "and"):
+                        todo.extend(parts)  # a disjunction: inline it
+                        continue
+                    if split is None:
+                        split = parts
+                        continue
+                lit = self._formula_lit(t)
+                lits.append(lit if pos else lit ^ 1)
+            else:
+                if split is None:
+                    self.sat.add_clause(lits)
+                else:
+                    stack.extend((list(lits), [part]) for part in split)
 
     def _ingest(self, term: Term) -> int:
         """Preprocess one boolean term into the shared context and return

@@ -286,33 +286,33 @@ def _flatten(op: str, args: Iterable[Term]) -> list:
 
 def mk_and(*args: Term) -> Term:
     flat = _flatten("and", args)
-    kept = []
+    kept: dict = {}  # insertion-ordered set: first occurrence wins
     for a in flat:
         _require(a.sort == BOOL, f"and: expected Bool, got {a.sort}")
         if a is FALSE:
             return FALSE
-        if a is not TRUE and a not in kept:
-            kept.append(a)
+        if a is not TRUE:
+            kept[a] = None
     if not kept:
         return TRUE
     if len(kept) == 1:
-        return kept[0]
+        return next(iter(kept))
     return Term("and", tuple(kept), BOOL)
 
 
 def mk_or(*args: Term) -> Term:
     flat = _flatten("or", args)
-    kept = []
+    kept: dict = {}  # insertion-ordered set: first occurrence wins
     for a in flat:
         _require(a.sort == BOOL, f"or: expected Bool, got {a.sort}")
         if a is TRUE:
             return TRUE
-        if a is not FALSE and a not in kept:
-            kept.append(a)
+        if a is not FALSE:
+            kept[a] = None
     if not kept:
         return FALSE
     if len(kept) == 1:
-        return kept[0]
+        return next(iter(kept))
     return Term("or", tuple(kept), BOOL)
 
 

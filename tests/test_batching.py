@@ -257,6 +257,30 @@ def test_gc_then_cross_goal_set_elements_still_covered(monkeypatch):
     assert inc.check_goal(contradiction) == "unsat"
 
 
+def _vars_added_by_set_equality_goal(n_elems):
+    """Vars one goal ``S1 = S2`` adds to a context whose prefix already
+    encodes the memberships of ``n_elems`` elements in both sets."""
+    s1 = T.mk_const("cl_S1", SET_LOC)
+    s2 = T.mk_const("cl_S2", SET_LOC)
+    inc = IncrementalSolver()
+    for i in range(n_elems):
+        x = T.mk_const(f"cl_x{i}", LOC)
+        inc.add_shared(T.mk_or(T.mk_member(x, s1), T.mk_member(x, s2)))
+    before = len(inc.sat.assigns)
+    assert inc.check_goal(T.mk_eq(s1, s2)) == "sat"
+    return len(inc.sat.assigns) - before
+
+
+def test_set_reduction_instances_add_no_tseitin_vars():
+    """A new set-equality atom gets one pointwise instance per known
+    element.  The instances are asserted as clauses over already-encoded
+    atoms, so the goal's variable count does not grow with the number of
+    instances: it is the atom, the witness's two memberships and the
+    activation literal."""
+    assert _vars_added_by_set_equality_goal(3) == 4
+    assert _vars_added_by_set_equality_goal(12) == 4
+
+
 # -- smtlib2 push/pop --------------------------------------------------------
 
 

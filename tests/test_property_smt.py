@@ -8,16 +8,19 @@ of models and by the CDCL(T) solver -- the two verdicts must agree.
 import itertools
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.smt import (
     INT,
     LOC,
+    MapSort,
     SetSort,
     Solver,
     mk_and,
     mk_const,
     mk_eq,
+    mk_implies,
     mk_int,
     mk_le,
     mk_lt,
@@ -29,7 +32,13 @@ from repro.smt import (
     mk_union,
     mk_inter,
     mk_setdiff,
+    mk_ite,
+    mk_select,
+    mk_store,
 )
+from repro.smt.rewriter import rewrite
+from repro.smt.solver import IncrementalSolver
+from repro.smt.terms import mk_all_ge, mk_all_le
 
 LOCS = [mk_const(f"pl{i}", LOC) for i in range(3)]
 INTS = [mk_const(f"pi{i}", INT) for i in range(3)]
@@ -219,3 +228,118 @@ def test_set_algebra_identities(sa, sb):
         )
     )
     assert ok
+
+
+# ---------------------------------------------------------------------------
+# the incremental solver's set-reduction path
+# ---------------------------------------------------------------------------
+
+MAPS = [mk_const(f"pm{i}", MapSort(INT, INT)) for i in range(2)]
+
+
+@st.composite
+def set_terms(draw, depth=1):
+    base = draw(st.sampled_from(SETS))
+    if depth == 0 or draw(st.booleans()):
+        return base
+    kind = draw(st.integers(0, 4))
+    other = draw(set_terms(depth=depth - 1))
+    if kind == 0:
+        return mk_union(base, other)
+    if kind == 1:
+        return mk_inter(base, other)
+    if kind == 2:
+        return mk_setdiff(base, other)
+    if kind == 3:
+        return mk_union(base, mk_singleton(draw(st.sampled_from(INTS))))
+    return mk_ite(draw(arith_atoms()), base, other)
+
+
+@st.composite
+def reduction_atoms(draw):
+    """Atoms the finite set reduction instantiates, plus the memberships
+    and map reads that feed its element universe."""
+    kind = draw(st.integers(0, 5))
+    a, b = draw(set_terms()), draw(set_terms())
+    elem = draw(st.sampled_from(INTS))
+    if kind == 0:
+        return mk_eq(a, b)
+    if kind == 1:
+        return mk_subset(a, b)
+    if kind == 2:
+        return mk_all_ge(a, elem)
+    if kind == 3:
+        return mk_all_le(a, elem)
+    if kind == 4:
+        return mk_member(elem, a)
+    the_map = draw(st.sampled_from(MAPS))
+    stored = mk_store(the_map, elem, draw(st.sampled_from(INTS)))
+    return mk_le(mk_select(stored, draw(st.sampled_from(INTS))), elem)
+
+
+@st.composite
+def reduction_formulas(draw, depth=2):
+    if depth == 0:
+        return draw(reduction_atoms())
+    kind = draw(st.integers(0, 4))
+    if kind == 0:
+        return draw(reduction_atoms())
+    if kind == 1:
+        return mk_not(draw(reduction_formulas(depth=depth - 1)))
+    a = draw(reduction_formulas(depth=depth - 1))
+    b = draw(reduction_formulas(depth=depth - 1))
+    return (mk_and, mk_or, mk_implies)[kind - 2](a, b)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(reduction_formulas(), min_size=1, max_size=6))
+def test_shared_rewrite_memo_matches_fresh_rewrite(terms):
+    """One memo reused across a sequence of terms returns exactly the
+    interned term a fresh ``rewrite`` does."""
+    cache = {}
+    for t in terms:
+        assert rewrite(t, cache) is rewrite(t)
+    # A second pass is answered from the memo, still identically.
+    for t in terms:
+        assert rewrite(t, cache) is rewrite(t)
+
+
+class _EagerGcSolver(IncrementalSolver):
+    GC_MIN_VARS = 1  # collect retired goals before every check
+
+
+@pytest.mark.parametrize("solver_cls", [IncrementalSolver, _EagerGcSolver])
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(reduction_formulas(), max_size=2),
+    st.lists(reduction_formulas(), min_size=1, max_size=4),
+)
+def test_incremental_check_goal_agrees_with_one_shot(solver_cls, prefix, goals):
+    """Clausal set-reduction instances in the persistent context decide
+    every goal exactly as the one-shot Tseitin pipeline does, before and
+    after retired-goal collections."""
+    inc = solver_cls(gc_ratio=0.0)
+    for hyp in prefix:
+        inc.add_shared(hyp)
+    # The opening goal retires an atom no drawn formula mentions, so the
+    # eager solver collects before the first drawn goal.
+    for goal in [mk_le(mk_const("p_gc", INT), mk_int(0))] + goals:
+        ref = Solver()
+        for hyp in prefix:
+            ref.add(hyp)
+        ref.add(goal)
+        assert inc.check_goal(goal) == ref.check(), goal
+    if solver_cls is _EagerGcSolver:
+        assert inc.n_gc >= 1
+
+
+def test_incremental_agreement_covers_sat_and_unsat_goals():
+    """The property above sees both verdicts: a satisfiable goal and an
+    unsatisfiable one under the same set-equality prefix."""
+    s0, s1 = SETS
+    x, y = INTS[:2]
+    inc = IncrementalSolver()
+    inc.add_shared(mk_eq(s0, mk_union(s1, mk_singleton(y))))
+    assert inc.check_goal(mk_and(mk_member(x, s0), mk_not(mk_member(x, s1)))) == "sat"
+    assert inc.check_goal(mk_and(mk_member(x, s1), mk_not(mk_member(x, s0)))) == "unsat"
+    assert inc.check_goal(mk_and(mk_all_ge(s0, x), mk_lt(y, x))) == "unsat"

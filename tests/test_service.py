@@ -24,6 +24,7 @@ and the strict wire models, then HTTP integration against a real
 import contextlib
 import importlib.util
 import json
+import queue as _queue
 import threading
 import time
 import urllib.error
@@ -108,30 +109,27 @@ def test_queue_fast_path_admits_up_to_max_inflight():
 def test_queue_slots_transfer_fifo_to_waiters():
     queue = AdmissionQueue(max_inflight=1, max_queue=4)
     queue.admit("holder")
-    order = []
-    started = threading.Barrier(3)
+    admitted = _queue.Queue()  # names in the order the slot reached them
 
     def wait_in_line(name):
-        started.wait(timeout=5)
-        time.sleep(0.05 if name == "second" else 0.0)  # force arrival order
         queue.admit(name)
-        order.append(name)
+        admitted.put(name)
 
-    threads = [
-        threading.Thread(target=wait_in_line, args=(name,))
-        for name in ("first", "second")
-    ]
-    for t in threads:
-        t.start()
-    started.wait(timeout=5)
-    deadline = time.time() + 5
-    while queue.snapshot()["depth"] < 2 and time.time() < deadline:
-        time.sleep(0.01)
-    assert queue.snapshot()["depth"] == 2
-    queue.release("holder")  # slot hands over to "first"
-    queue.release("first")  # then to "second"
-    for t in threads:
-        t.join(timeout=5)
+    def enqueue(name, depth):
+        threading.Thread(target=wait_in_line, args=(name,), daemon=True).start()
+        deadline = time.time() + 5
+        while queue.snapshot()["depth"] < depth and time.time() < deadline:
+            time.sleep(0.01)
+        assert queue.snapshot()["depth"] == depth
+
+    enqueue("first", 1)  # "first" is in line before "second" arrives
+    enqueue("second", 2)
+    # One slot: each release admits exactly one waiter, and the next
+    # release waits for that hand-off, so `order` is the hand-off order.
+    queue.release("holder")
+    order = [admitted.get(timeout=5)]
+    queue.release(order[0])
+    order.append(admitted.get(timeout=5))
     assert order == ["first", "second"]
     assert queue.snapshot()["inflight"] == 1  # "second" still holds its slot
 
