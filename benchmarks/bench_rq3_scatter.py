@@ -17,7 +17,7 @@ A representative subset keeps the benchmark's wall clock sane.
 import os
 import time
 
-from repro.engine import VerificationEngine
+from repro.engine import VerificationSession
 from repro.structures.registry import EXPERIMENTS
 
 DEFAULT_METHODS = [
@@ -36,16 +36,18 @@ JOBS = int(os.environ.get("REPRO_BENCH_JOBS", "1"))
 
 
 def _run(program, ids, method, encoding):
-    engine = VerificationEngine(
+    session = VerificationSession(
         jobs=JOBS,
         encoding=encoding,
         conflict_budget=100000,
         timeout_s=BUDGET_S,
         method_budget_s=BUDGET_S,
+        diagnostics=False,
     )
     start = time.perf_counter()
     try:
-        report = engine.verify(program, ids, method)
+        with session:
+            report = session.verify(program, ids, method).to_report()
         if report.timeouts:
             return float(BUDGET_S), False, len(report.notes)
         return time.perf_counter() - start, report.ok, len(report.notes)

@@ -20,7 +20,7 @@ workers, subthreads, and on non-Unix hosts.  Knobs:
 
 import os
 
-from repro.engine import VerificationEngine
+from repro.engine import VerificationSession
 from repro.structures.registry import EXPERIMENTS, method_sizes
 
 BUDGET_S = float(os.environ.get("REPRO_BENCH_BUDGET_S", "120"))
@@ -28,9 +28,9 @@ JOBS = int(os.environ.get("REPRO_BENCH_JOBS", "1"))
 CACHE_DIR = os.environ.get("REPRO_BENCH_CACHE_DIR") or None
 
 
-def _verify_with_budget(engine, program, ids, method):
+def _verify_with_budget(session, program, ids, method):
     try:
-        report = engine.verify(program, ids, method)
+        report = session.verify(program, ids, method).to_report()
     except Exception as e:  # noqa: BLE001 - report, don't crash the table
         return None, f"error: {type(e).__name__}"
     if report.timeouts:
@@ -39,33 +39,34 @@ def _verify_with_budget(engine, program, ids, method):
 
 
 def run_table2():
-    engine = VerificationEngine(
+    rows = []
+    with VerificationSession(
         jobs=JOBS,
         timeout_s=BUDGET_S,
         method_budget_s=BUDGET_S,
         cache_dir=CACHE_DIR,
         conflict_budget=100000,
-    )
-    rows = []
-    for exp in EXPERIMENTS:
-        ids = exp.ids_factory()
-        program = exp.program_factory()
-        for method in exp.methods:
-            lc, loc, spec, ann = method_sizes(exp, method)
-            report, failure = _verify_with_budget(engine, program, ids, method)
-            if failure is None:
-                status = "verified" if report.ok else "FAILED"
-                t = f"{report.time_s:6.1f}"
-                vcs = report.n_vcs
-            elif failure == "budget":
-                status = failure
-                t = f">{BUDGET_S:g}"
-                vcs = report.n_vcs
-            else:
-                status = failure
-                t = f">{BUDGET_S:g}"
-                vcs = "-"
-            rows.append((exp.structure, lc, method, loc, spec, ann, vcs, t, status))
+        diagnostics=False,
+    ) as session:
+        for exp in EXPERIMENTS:
+            ids = exp.ids_factory()
+            program = exp.program_factory()
+            for method in exp.methods:
+                lc, loc, spec, ann = method_sizes(exp, method)
+                report, failure = _verify_with_budget(session, program, ids, method)
+                if failure is None:
+                    status = "verified" if report.ok else "FAILED"
+                    t = f"{report.time_s:6.1f}"
+                    vcs = report.n_vcs
+                elif failure == "budget":
+                    status = failure
+                    t = f">{BUDGET_S:g}"
+                    vcs = report.n_vcs
+                else:
+                    status = failure
+                    t = f">{BUDGET_S:g}"
+                    vcs = "-"
+                rows.append((exp.structure, lc, method, loc, spec, ann, vcs, t, status))
     return rows
 
 

@@ -7,8 +7,8 @@ infrastructure:
 
 - :mod:`repro.engine.tasks`     -- VCs as self-contained picklable work units
 - :mod:`repro.engine.codec`     -- intern-safe wire format for term DAGs
-- :mod:`repro.engine.scheduler` -- multiprocessing shard with per-task timeouts,
-  streaming one result per VC as verdicts land
+- :mod:`repro.engine.scheduler` -- one supervised worker loop with per-unit
+  deadlines, streaming one result per VC as verdicts land
 - :mod:`repro.engine.cache`     -- persistent verdict cache keyed by formula hash
 - :mod:`repro.engine.plancache` -- persistent plan cache (simplified VCs + subst
   logs keyed on program text, config, and planner code version)
@@ -23,11 +23,8 @@ infrastructure:
 - :mod:`repro.engine.diagnostics` -- countermodels mapped back to the original
   VC vocabulary through the simplifier's substitution log
 - :mod:`repro.engine.session`   -- :class:`VerificationSession`, the front door
-- :mod:`repro.engine.api`       -- :class:`VerificationEngine`, the deprecated
-  blocking shim over the session
 """
 
-from .api import VerificationEngine
 from .backends import (
     BackendUnavailable,
     CrossCheckMismatch,
@@ -76,7 +73,6 @@ __all__ = [
     "diagnose",
     "build_result",
     "stream_tasks",
-    "VerificationEngine",
     "SolverBackend",
     "UnknownBackendError",
     "BackendUnavailable",

@@ -16,9 +16,10 @@ counts, and a :class:`Diagnostic` per failed VC whose countermodel atoms
 are rendered in the *original* VC vocabulary (the simplifier's equality
 substitutions are inverted; see :mod:`repro.engine.diagnostics`).
 
-``VerificationResult.to_report()`` degrades losslessly to the legacy
-:class:`~repro.core.verifier.MethodReport`, which is how the deprecated
-``VerificationEngine`` shim keeps its exact historical behavior.
+``VerificationResult.to_report()`` degrades losslessly to the
+:class:`~repro.core.verifier.MethodReport` shape of the sequential
+``Verifier.verify`` reference, which is what parity tests and the
+table benchmarks compare.
 """
 
 from __future__ import annotations

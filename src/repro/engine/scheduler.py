@@ -1,14 +1,32 @@
-"""Parallel solve scheduler with per-task wall-clock timeouts.
+"""Solve scheduler: one supervised worker loop with per-unit deadlines.
 
-Shards work units across worker *processes* (one process per unit, at
-most ``jobs`` in flight).  A unit is either a single
-:class:`~repro.engine.tasks.SolveTask` or a
+A unit is either a single :class:`~repro.engine.tasks.SolveTask` or a
 :class:`~repro.engine.tasks.BatchTask` of N VCs sharing a hypothesis
-prefix; batch workers stream one result per VC back through their pipe
-as each goal is decided, so per-VC verdicts, timings and timeout
-attribution survive batching.  No ``signal.SIGALRM``, so the same code
-path works inside CI containers, on macOS/Windows ``spawn`` start
-methods, and in threads.
+prefix.  There are exactly two routes through :func:`stream_tasks`:
+
+- the *in-process reference*: ``jobs=1`` with nothing that needs a
+  worker (no per-VC timeout, no method budget, no portfolio race, no
+  worker-site fault plan) solves every unit in this process, byte for
+  byte the sequential ``Verifier.verify`` verdict computation;
+- the *supervised loop* for everything else: every unit runs in a
+  fresh worker process (forked under the platform's default start
+  method; at most ``jobs`` in flight), which streams one result per VC
+  back through its pipe as each goal is decided, so per-VC verdicts,
+  timings and timeout attribution survive batching.  Deadlines are
+  enforced by killing the worker from the parent (no
+  ``signal.SIGALRM``, so the loop also runs inside threads), and a
+  worker death goes through the retry/quarantine policy.
+
+A unit's workers form one *slot group*.  A ``portfolio:`` unit (see
+:mod:`repro.engine.backends`) runs one member worker per backend on the
+same slots; a plain unit is a group of one.  A slot settles on the first
+definitive verdict any member streams (attributed via
+``TaskResult.winner``), or on its first non-definitive answer once no
+live member can still answer it; the group's workers are killed as soon
+as its last slot settles.  The race lives here rather than inside a
+``SolverBackend`` because ``check_validity`` is synchronous and members
+may be subprocess-bound -- only the scheduler can run them truly
+concurrently and cancel the losers.
 
 Before anything launches, every VC is keyed by its canonical formula
 hash: persistent-cache hits short-circuit, and *in-flight duplicates*
@@ -19,28 +37,13 @@ once.  Only *definitive* verdicts (valid/invalid) fan out: a timeout or
 error is a fact about this machine and schedule, not about the formula,
 so duplicates of a failed owner are re-queued as standalone tasks
 (mirroring :class:`~repro.engine.cache.VcCache`'s cacheability rule).
-
-Units whose backend spec is a ``portfolio:`` race (see
-:mod:`repro.engine.backends`) are scheduled specially: one worker per
-member backend is launched on the *same* unit, the first definitive
-verdict settles each VC slot (attributed via ``TaskResult.winner``),
-losers are terminated and reaped as soon as the unit's last slot
-settles, and a non-definitive answer from one member leaves the slot
-open for the others.  The race lives here rather than inside a
-``SolverBackend`` because ``check_validity`` is synchronous and members
-may be subprocess-bound -- only the scheduler can run them truly
-concurrently and cancel the losers.
-
-``jobs=1`` with no timeout takes a pure in-process path that is
-byte-for-byte the sequential ``Verifier.verify`` verdict computation
-(the "same-verdict sequential fallback"); portfolio units always take
-the process path, since a race needs real concurrent workers.
 """
 
 from __future__ import annotations
 
 import multiprocessing as mp
 import os
+import signal
 import time
 from dataclasses import replace
 from multiprocessing.connection import wait as conn_wait
@@ -189,26 +192,19 @@ def _waiter_task(unit: TaskUnit, index: int, label: str, formula: Term) -> Solve
     )
 
 
-def _pool_solve(unit: TaskUnit) -> List[TaskResult]:
-    """Pool worker body: never let an exception escape (it would poison
-    the whole imap)."""
-    try:
-        if isinstance(unit, BatchTask):
-            return list(solve_batch(unit))
-        return [solve_one(unit)]
-    except BaseException as e:  # noqa: BLE001
-        return [
-            TaskResult(ix, label, "error", f"worker crash: {e!r}")
-            for ix, label in _unit_slots(unit)
-        ]
-
-
 def _worker(conn, unit: TaskUnit) -> None:
     """Worker entry point: solve one unit, stream results, exit.
 
     Protocol: one ``TaskResult`` message per VC (batches stream them as
     goals are decided), then a ``None`` sentinel.
     """
+    # A forked worker inherits its parent's Python-level signal
+    # handlers.  The parent owns interrupts and kills workers with
+    # SIGTERM, so a handler that returns (the daemon's drain trigger) or
+    # raises (the CLI's interrupt) must not outlive the fork: the kill
+    # has to end the process, and Ctrl-C reaches the parent only.
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
 
     def ship(obj) -> bool:
         try:
@@ -263,19 +259,19 @@ def _worker(conn, unit: TaskUnit) -> None:
         pass
 
 
-class _Race:
-    """One portfolio unit's worker group, racing member backends on the
-    same slots.
+class _Group:
+    """One unit's slot group: the member workers answering its slots.
 
-    The first definitive (valid/invalid) verdict settles a slot and is
-    attributed to the member that produced it; once every slot is
-    settled the surviving siblings are terminated and reaped.  A
-    non-definitive answer (error/unknown) from one member leaves the
-    slot open for the others; only when no live member can still answer
-    a slot is it settled with the first fallback result seen.
+    A plain unit has one member; a ``portfolio:`` unit has one per
+    member backend.  The group shares one summed timeout bank: a batch
+    is granted the budget of all its entries up front (a non-streaming
+    backend -- one smtlib2 subprocess answering all N goals at once --
+    must not be killed after a single slice), and racing changes who
+    answers first, not how long the unit may take.
     """
 
-    __slots__ = ("unit", "runs", "remaining", "fallback", "started", "deadline")
+    __slots__ = ("unit", "runs", "remaining", "fallback", "started", "deadline",
+                 "delivered")
 
     def __init__(self, unit: TaskUnit):
         self.unit = unit
@@ -283,59 +279,34 @@ class _Race:
         self.remaining: Dict[int, str] = dict(_unit_slots(unit))
         self.fallback: Dict[int, TaskResult] = {}
         self.started = time.perf_counter()
-        # The race shares one summed timeout bank (see _Running): racing
-        # changes who answers first, not how long the unit may take.
         if unit.timeout_s is None:
             self.deadline = None
         else:
             self.deadline = self.started + unit.timeout_s * len(self.remaining)
+        # Results the group's workers streamed back: the retry policy's
+        # transient-vs-deterministic signal (a crash after progress is
+        # not the same crash happening again).
+        self.delivered = 0
 
 
 class _Running:
-    __slots__ = (
-        "proc",
-        "conn",
-        "unit",
-        "remaining",
-        "started",
-        "deadline",
-        "race",
-        "member",
-        "active",
-        "delivered",
-    )
+    """One live member worker of a group."""
 
-    def __init__(self, proc, conn, unit: TaskUnit, race=None, member=None):
+    __slots__ = ("proc", "conn", "group", "member", "remaining", "active")
+
+    def __init__(self, proc, conn, group: _Group, member: Optional[str]):
         self.proc = proc
         self.conn = conn
-        self.unit = unit
-        self.remaining: Dict[int, str] = dict(_unit_slots(unit))
-        self.started = time.perf_counter()
-        self.race: Optional[_Race] = race
-        self.member: Optional[str] = member  # member backend spec in the race
+        self.group = group
+        self.member = member  # member backend spec when the group races
+        self.remaining: Dict[int, str] = dict(group.remaining)
         self.active = True
-        # Results this worker streamed back before dying/finishing: the
-        # retry policy's transient-vs-deterministic signal (a crash after
-        # progress is not the same crash happening again).
-        self.delivered = 0
-        # A batch is granted the summed budget of its entries up front:
-        # a non-streaming backend (one smtlib2 subprocess answers all N
-        # goals at once) must not be killed after a single slice.  When
-        # the bank runs out, only the in-flight entry timed out; the
-        # never-attempted rest are re-queued as standalone tasks.  Race
-        # members share their group's bank (race.deadline) instead of
-        # each carrying their own.
-        if unit.timeout_s is None or race is not None:
-            self.deadline = None
-        else:
-            self.deadline = self.started + unit.timeout_s * len(self.remaining)
 
 
 def solve_tasks(
     units: Sequence[TaskUnit],
     jobs: int = 1,
     cache: Optional[VcCache] = None,
-    mp_context: Optional[str] = None,
     deadline_s: Optional[float] = None,
     max_retries: int = 2,
 ) -> List[TaskResult]:
@@ -352,7 +323,6 @@ def solve_tasks(
             units,
             jobs=jobs,
             cache=cache,
-            mp_context=mp_context,
             deadline_s=deadline_s,
             max_retries=max_retries,
         )
@@ -364,9 +334,7 @@ def stream_tasks(
     units: Sequence[TaskUnit],
     jobs: int = 1,
     cache: Optional[VcCache] = None,
-    mp_context: Optional[str] = None,
     deadline_s: Optional[float] = None,
-    pool_factory=None,
     max_retries: int = 2,
 ):
     """Solve every unit, *yielding* one :class:`TaskResult` per VC slot
@@ -377,40 +345,30 @@ def stream_tasks(
     out as the streaming worker protocol delivers them -- consumers see
     progress per VC instead of waiting for the whole bag.
 
-    Cache hits short-circuit before any process is spawned; in-flight
-    duplicates (same canonical ``formula_key``) are solved once, with
-    definitive verdicts fanned out and failed owners' duplicates
-    re-queued standalone; definitive verdicts of misses are written back
-    exactly once per key.  ``jobs`` bounds worker concurrency;
-    ``timeout_s`` is enforced by termination from the parent -- a batch
-    is granted the summed budget of its entries up front (non-streaming
-    backends answer every goal in one call), and on expiry the worker's
-    pipe is drained first (already-streamed verdicts are real), then the
+    Cache hits short-circuit before any process is spawned (a fully
+    warm run starts no worker); in-flight duplicates (same canonical
+    ``formula_key``) are solved once, with definitive verdicts fanned
+    out and failed owners' duplicates re-queued standalone; definitive
+    verdicts of misses are written back exactly once per key.  ``jobs``
+    bounds worker concurrency; ``timeout_s`` is enforced by killing the
+    unit's workers once its group's bank runs out -- the pipes are
+    drained first (already-streamed verdicts are real), then the
     in-flight entry is the timeout while never-attempted entries are
     re-queued standalone.  ``deadline_s`` additionally bounds the *whole
     bag's* wall clock (the per-method budget of the benchmark
     harnesses): when it expires, pipes are drained, then every
     unfinished VC is reported as ``timeout`` instead of being started.
-    ``portfolio:`` units launch one worker per member backend and settle
-    each slot on the first definitive verdict (``TaskResult.winner``
-    names the member), terminating losers once the unit settles; raced
-    verdicts are additionally cached under the winning member's key so a
-    warm single-backend run replays them.  ``pool_factory`` lends a
-    persistent ``multiprocessing.Pool`` for the no-timeout parallel path
-    (a session amortizes worker spawns across calls); it is a zero-arg
-    callable invoked only once at least one cache-missing unit actually
-    needs a worker -- a fully warm-cache run spawns no processes at all.
-    Without one, a throwaway pool is used.
+    Raced verdicts are additionally cached under the winning member's
+    key so a warm single-backend run replays them.
 
-    Worker deaths on the isolation path are *supervised*: a dead
-    worker's unsettled slots are retried up to ``max_retries`` times
-    with bounded exponential backoff.  A crash is classified transient
-    when it is the unit's first, or when the worker streamed progress
-    before dying; a unit that crashes twice in a row with no progress
-    (a deterministic crash -- retrying would loop) or exhausts the
-    retry budget is quarantined: its slots settle as ``error`` verdicts
-    carrying ``retries``/``quarantined`` attribution.  Race members are
-    exempt (a dead member just leaves the race, as before).
+    Worker deaths are *supervised*: once no live member of a group can
+    still answer its unsettled slots, they are retried up to
+    ``max_retries`` times with bounded exponential backoff.  A crash is
+    classified transient when it is the unit's first, or when the group
+    streamed progress before dying; a unit that crashes twice in a row
+    with no progress (a deterministic crash -- retrying would loop) or
+    exhausts the retry budget is quarantined: its slots settle as
+    ``error`` verdicts carrying ``retries``/``quarantined`` attribution.
     """
     key_of: Dict[int, Optional[str]] = {}
     attrib: Dict[int, Tuple[str, str, str]] = {}
@@ -542,54 +500,27 @@ def stream_tasks(
         return out
 
     fault_plan = faults.active()
-    needs_isolation = (
-        deadline_s is not None
+    needs_worker = (
+        jobs > 1
+        or deadline_s is not None
         or any(u.timeout_s is not None for u in pending)
-        # A race needs real concurrent workers to win and losers to
-        # cancel, so portfolio units always take the process path.
+        # A race needs real concurrent workers to win and losers to kill.
         or any(portfolio_of(u.backend_spec) for u in pending)
-        # Worker-killing fault plans need the supervised process path:
-        # a pool would hang or poison its imap on a member death.
+        # Worker-killing fault plans need a worker to kill.
         or (fault_plan is not None and fault_plan.wants_worker_isolation())
     )
-    if not needs_isolation:
-        if jobs <= 1:
-            # Sequential fallback: identical to Verifier.verify's solve loop.
-            for unit in pending:
-                if isinstance(unit, BatchTask):
-                    for res in solve_batch(unit):
-                        yield from settle(res)
-                else:
-                    yield from settle(solve_one(unit))
-            while retry_tasks:
-                yield from settle(solve_one(retry_tasks.pop(0)))
-        elif pending:
-            # No timeouts to enforce: a persistent worker pool amortizes
-            # process startup across units (one spawn per worker, not per
-            # VC); a session-lent pool amortizes it across calls too.
-            if pool_factory is not None:
-                own_pool = None
-                pool = pool_factory()
+    if not needs_worker:
+        # The in-process reference: identical to Verifier.verify's solve loop.
+        for unit in pending:
+            if isinstance(unit, BatchTask):
+                for res in solve_batch(unit):
+                    yield from settle(res)
             else:
-                ctx = mp.get_context(mp_context) if mp_context else mp.get_context()
-                pool = own_pool = ctx.Pool(processes=min(jobs, len(pending)))
-            try:
-                work: List[TaskUnit] = pending
-                while work:
-                    for payload in pool.imap_unordered(_pool_solve, work):
-                        for res in payload:
-                            yield from settle(res)
-                    # Orphaned dedup waiters re-run standalone through the
-                    # same pool (a retry has no waiters, so this drains).
-                    work = list(retry_tasks)
-                    del retry_tasks[:]
-            finally:
-                if own_pool is not None:
-                    own_pool.terminate()
-                    own_pool.join()
+                yield from settle(solve_one(unit))
+        while retry_tasks:
+            yield from settle(solve_one(retry_tasks.pop(0)))
         return
 
-    ctx = mp.get_context(mp_context) if mp_context else mp.get_context()
     queue: List[TaskUnit] = list(pending)
     running: List[_Running] = []
     # Crash-retried units parked until their backoff expires:
@@ -599,27 +530,19 @@ def stream_tasks(
         time.perf_counter() + deadline_s if deadline_s is not None else None
     )
 
-    def spawn(unit: TaskUnit, race=None, member=None) -> _Running:
-        parent_conn, child_conn = ctx.Pipe(duplex=False)
-        proc = ctx.Process(target=_worker, args=(child_conn, unit), daemon=True)
-        proc.start()
-        child_conn.close()
-        run = _Running(proc, parent_conn, unit, race=race, member=member)
-        running.append(run)
-        return run
-
     def launch(unit: TaskUnit) -> None:
-        members = portfolio_of(unit.backend_spec)
-        if not members:
-            spawn(unit)
-            return
-        # Portfolio: race one worker per member backend on the same unit
-        # (each member occupies a worker slot while the race lasts).
-        race = _Race(unit)
-        for member in members:
-            race.runs.append(
-                spawn(replace(unit, backend_spec=member), race=race, member=member)
-            )
+        """Start one worker per member of the unit's group (one for a
+        plain unit; a race's members each occupy a worker slot)."""
+        group = _Group(unit)
+        for member in portfolio_of(unit.backend_spec) or (None,):
+            member_unit = unit if member is None else replace(unit, backend_spec=member)
+            parent_conn, child_conn = mp.Pipe(duplex=False)
+            proc = mp.Process(target=_worker, args=(child_conn, member_unit), daemon=True)
+            proc.start()
+            child_conn.close()
+            run = _Running(proc, parent_conn, group, member)
+            group.runs.append(run)
+            running.append(run)
 
     def retire(run: _Running) -> None:
         """Terminate/join one worker and close its pipe (idempotent)."""
@@ -634,30 +557,29 @@ def stream_tasks(
         except OSError:
             pass
 
+    def retire_group(group: _Group) -> None:
+        for run in group.runs:
+            retire(run)
+
     def deliver(run: _Running, msg: TaskResult) -> List[TaskResult]:
-        """Route one worker message: plain units settle directly; race
-        members settle a slot only on its first definitive verdict."""
+        """Route one worker message: the first definitive verdict settles
+        its slot; a non-definitive one waits for the other members."""
+        group = run.group
         run.remaining.pop(msg.index, None)
-        run.delivered += 1
-        race = run.race
-        if race is None:
-            if run.unit.attempt and not msg.retries:
-                msg.retries = run.unit.attempt
-            return settle(msg)
-        if msg.index not in race.remaining:
+        group.delivered += 1
+        if msg.index not in group.remaining:
             return []  # a sibling already won this slot
-        if msg.verdict in _DEFINITIVE:
-            del race.remaining[msg.index]
-            msg.winner = run.member
-            out = settle(msg)
-            if not race.remaining:
-                # Last slot settled: cancel the losers promptly.
-                for sib in race.runs:
-                    retire(sib)
-            return out
-        # Error/unknown from one member falls through to the others.
-        race.fallback.setdefault(msg.index, msg)
-        return race_sweep(race, time.perf_counter())
+        if group.unit.attempt and not msg.retries:
+            msg.retries = group.unit.attempt
+        if msg.verdict not in _DEFINITIVE:
+            group.fallback.setdefault(msg.index, msg)
+            return sweep(group)
+        del group.remaining[msg.index]
+        msg.winner = run.member
+        out = settle(msg)
+        if not group.remaining:
+            retire_group(group)  # last slot settled: cancel the losers
+        return out
 
     def drain(run: _Running) -> List[TaskResult]:
         """Deliver whatever results already sit in a run's pipe.  The
@@ -676,59 +598,79 @@ def stream_tasks(
             pass
         return out
 
-    def race_sweep(race: _Race, now: float) -> List[TaskResult]:
-        """Settle race slots that no live member can still answer."""
+    def sweep(group: _Group) -> List[TaskResult]:
+        """Settle slots that hold a fallback and that no live member can
+        still answer."""
         out: List[TaskResult] = []
-        alive = [r for r in race.runs if r.active]
-        for ix in list(race.remaining):
-            if any(ix in r.remaining for r in alive):
-                continue
-            label = race.remaining.pop(ix)
-            res = race.fallback.get(ix)
-            if res is None:
-                res = TaskResult(
-                    ix,
-                    label,
-                    "error",
-                    "every portfolio member ended without a verdict",
-                    time_s=now - race.started,
-                )
-            out.extend(settle(res))
-        if not race.remaining:
-            for sib in race.runs:
-                retire(sib)
+        alive = [r for r in group.runs if r.active]
+        for ix in list(group.remaining):
+            if ix in group.fallback and not any(ix in r.remaining for r in alive):
+                del group.remaining[ix]
+                out.extend(settle(group.fallback[ix]))
+        if not group.remaining:
+            retire_group(group)
         return out
 
     def fail_remaining(
-        run: _Running, verdict: str, detail: str, now: float, fanout_all: bool = False
+        group: _Group,
+        verdict: str,
+        detail: str,
+        now: float,
+        fanout_all: bool = False,
+        **attribution,
     ) -> List[TaskResult]:
         out: List[TaskResult] = []
-        for ix, label in run.remaining.items():
-            out.extend(
-                settle(
-                    TaskResult(ix, label, verdict, detail, time_s=now - run.started),
-                    fanout_all=fanout_all,
-                )
+        for ix, label in group.remaining.items():
+            res = TaskResult(
+                ix, label, verdict, detail, time_s=now - group.started, **attribution
             )
-        run.remaining.clear()
+            out.extend(settle(res, fanout_all=fanout_all))
+        group.remaining.clear()
         return out
 
-    def fail_race(
-        race: _Race, verdict: str, detail: str, now: float, fanout_all: bool = False
-    ) -> List[TaskResult]:
+    def ended(run: _Running, now: float, crashed: bool) -> List[TaskResult]:
+        """A member's worker is gone: it leaves the group, and once no
+        member is left the unanswered slots go to the crash policy (or,
+        after a clean exit, error out)."""
+        retire(run)
+        group = run.group
+        out = sweep(group)
+        if group.remaining and not any(r.active for r in group.runs):
+            if crashed:
+                out.extend(
+                    crash_retry(group, now, f"worker died (exitcode {run.proc.exitcode})")
+                )
+            else:
+                # Defensive: a sentinel without all results errors the gap.
+                out.extend(
+                    fail_remaining(group, "error", "worker ended without result", now)
+                )
+        return out
+
+    def expire(group: _Group, now: float) -> List[TaskResult]:
+        """The group's bank ran out: drain every member (streamed
+        verdicts survive the kill), kill the group, then time out only
+        the entry being solved and re-queue the never-attempted rest as
+        standalone tasks with fresh budgets (the bag deadline still
+        bounds the whole method)."""
         out: List[TaskResult] = []
-        for ix, label in race.remaining.items():
-            out.extend(
-                settle(
-                    TaskResult(ix, label, verdict, detail, time_s=now - race.started),
-                    fanout_all=fanout_all,
-                )
-            )
-        race.remaining.clear()
+        for run in group.runs:
+            if run.active:
+                out.extend(drain(run))
+        retire_group(group)
+        never: Dict[int, str] = {}
+        if isinstance(group.unit, BatchTask) and len(group.remaining) > 1:
+            _in_flight, *rest = group.remaining
+            never = {ix: group.remaining.pop(ix) for ix in rest}
+        out.extend(
+            fail_remaining(group, "timeout", f"budget {group.unit.timeout_s:g}s", now)
+        )
+        if never:
+            queue.extend(_requeue_singles(group.unit, never))
         return out
 
-    def crash_retry(run: _Running, now: float, detail: str) -> List[TaskResult]:
-        """Supervised retry for a dead worker's unsettled slots.
+    def crash_retry(group: _Group, now: float, detail: str) -> List[TaskResult]:
+        """Supervised retry for a dead group's unsettled slots.
 
         Transient crashes (the unit's first, or a death after streamed
         progress) respawn the remainder after a bounded exponential
@@ -736,12 +678,8 @@ def stream_tasks(
         or exhausts ``max_retries``, is quarantined: retrying a
         deterministic crash would loop forever.
         """
-        out: List[TaskResult] = []
-        if not run.remaining:
-            return out
-        unit = run.unit
-        progressed = run.delivered > 0
-        streak = 1 if progressed else unit.crash_streak + 1
+        unit = group.unit
+        streak = 1 if group.delivered else unit.crash_streak + 1
         total = unit.attempt + 1
         if streak >= 2 or total > max_retries:
             why = (
@@ -749,38 +687,29 @@ def stream_tasks(
                 if streak >= 2
                 else f"retry budget ({max_retries}) exhausted"
             )
-            for ix, label in run.remaining.items():
-                out.extend(
-                    settle(
-                        TaskResult(
-                            ix,
-                            label,
-                            "error",
-                            f"quarantined after {total} worker crash(es), "
-                            f"{why}: {detail}",
-                            time_s=now - run.started,
-                            retries=unit.attempt,
-                            quarantined=True,
-                        )
-                    )
-                )
-            run.remaining.clear()
-            return out
+            return fail_remaining(
+                group,
+                "error",
+                f"quarantined after {total} worker crash(es), {why}: {detail}",
+                now,
+                retries=unit.attempt,
+                quarantined=True,
+            )
         backoff = min(_BACKOFF_BASE_S * (2 ** unit.attempt), _BACKOFF_CAP_S)
-        if isinstance(unit, BatchTask) and len(run.remaining) < len(unit.entries):
+        if isinstance(unit, BatchTask) and len(group.remaining) < len(unit.entries):
             # Partial progress: only the unsettled entries come back, as
             # standalone tasks (the shared-prefix context died with the
             # worker anyway).
             retry_units: List[TaskUnit] = [
                 replace(t, attempt=total, crash_streak=streak)
-                for t in _requeue_singles(unit, run.remaining)
+                for t in _requeue_singles(unit, group.remaining)
             ]
         else:
             retry_units = [replace(unit, attempt=total, crash_streak=streak)]
-        run.remaining.clear()
+        group.remaining.clear()
         for retry_unit in retry_units:
             delayed.append((now + backoff, retry_unit))
-        return out
+        return []
 
     try:
         while queue or running or retry_tasks or delayed:
@@ -796,19 +725,14 @@ def stream_tasks(
                 del retry_tasks[:]
             if bag_deadline is not None and time.perf_counter() > bag_deadline:
                 detail = f"method budget {deadline_s:g}s"
-                for unit in queue:
+                # Queued units and crash-retried units still waiting out
+                # their backoff have no budget left.
+                for unit in queue + [u for _not_before, u in delayed]:
                     for ix, label in _unit_slots(unit):
                         yield from settle(
                             TaskResult(ix, label, "timeout", detail), fanout_all=True
                         )
                 queue.clear()
-                # Crash-retried units still waiting out their backoff
-                # have no budget left either.
-                for _not_before, unit in delayed:
-                    for ix, label in _unit_slots(unit):
-                        yield from settle(
-                            TaskResult(ix, label, "timeout", detail), fanout_all=True
-                        )
                 del delayed[:]
                 # Workers may have streamed verdicts the parent has not
                 # received yet.  Those are real -- drain every pipe (as
@@ -828,18 +752,10 @@ def stream_tasks(
                     )
                 del retry_tasks[:]
                 now = time.perf_counter()
-                seen_races = set()
-                for run in running:
-                    if run.race is not None:
-                        if id(run.race) not in seen_races:
-                            seen_races.add(id(run.race))
-                            yield from fail_race(
-                                run.race, "timeout", detail, now, fanout_all=True
-                            )
-                    elif run.remaining:
-                        yield from fail_remaining(
-                            run, "timeout", detail, now, fanout_all=True
-                        )
+                for group in dict.fromkeys(run.group for run in running):
+                    yield from fail_remaining(
+                        group, "timeout", detail, now, fanout_all=True
+                    )
                 for run in running:
                     retire(run)
                 running = []
@@ -868,90 +784,11 @@ def stream_tasks(
                         died = True
                 if not run.active:
                     continue
-                if died:
-                    retire(run)
-                    if run.race is not None:
-                        yield from race_sweep(run.race, now)
-                    else:
-                        yield from crash_retry(
-                            run, now, f"worker died (exitcode {run.proc.exitcode})"
-                        )
-                elif finished:
-                    retire(run)
-                    if run.race is not None:
-                        # A member ending early just leaves the race.
-                        yield from race_sweep(run.race, now)
-                    else:
-                        # Defensive: a sentinel without all results errors the gap.
-                        yield from fail_remaining(
-                            run, "error", "worker ended without result", now
-                        )
-                elif run.deadline is not None and now > run.deadline:
-                    # Per-unit budget expiry (non-race: members keep
-                    # deadline=None and share race.deadline).  Drain the
-                    # pipe first -- streamed verdicts survive the kill.
-                    yield from drain(run)
-                    retire(run)
-                    # Only the entry being solved when the bank ran out
-                    # actually timed out; re-queue the never-attempted
-                    # rest as standalone tasks with fresh budgets (the
-                    # bag deadline still bounds the whole method).
-                    if not run.remaining:
-                        pass
-                    elif isinstance(run.unit, BatchTask) and len(run.remaining) > 1:
-                        in_flight = next(iter(run.remaining))
-                        label = run.remaining.pop(in_flight)
-                        yield from settle(
-                            TaskResult(
-                                in_flight,
-                                label,
-                                "timeout",
-                                f"budget {run.unit.timeout_s:g}s",
-                                time_s=now - run.started,
-                            )
-                        )
-                        queue.extend(_requeue_singles(run.unit, run.remaining))
-                        run.remaining.clear()
-                    else:
-                        yield from fail_remaining(
-                            run, "timeout", f"budget {run.unit.timeout_s:g}s", now
-                        )
-                elif (
-                    run.race is not None
-                    and run.race.deadline is not None
-                    and now > run.race.deadline
-                    and run.race.remaining
-                ):
-                    # The race's shared bank ran out: drain every member
-                    # (any of them may hold streamed verdicts), kill the
-                    # group, then apply the same in-flight/re-queue split
-                    # a single worker gets.
-                    race = run.race
-                    for sib in race.runs:
-                        if sib.active:
-                            yield from drain(sib)
-                    for sib in race.runs:
-                        retire(sib)
-                    if not race.remaining:
-                        pass
-                    elif isinstance(race.unit, BatchTask) and len(race.remaining) > 1:
-                        in_flight = next(iter(race.remaining))
-                        label = race.remaining.pop(in_flight)
-                        yield from settle(
-                            TaskResult(
-                                in_flight,
-                                label,
-                                "timeout",
-                                f"budget {race.unit.timeout_s:g}s",
-                                time_s=now - race.started,
-                            )
-                        )
-                        queue.extend(_requeue_singles(race.unit, race.remaining))
-                        race.remaining.clear()
-                    else:
-                        yield from fail_race(
-                            race, "timeout", f"budget {race.unit.timeout_s:g}s", now
-                        )
+                group = run.group
+                if died or finished:
+                    yield from ended(run, now, crashed=died)
+                elif group.deadline is not None and now > group.deadline:
+                    yield from expire(group, now)
                 elif not run.proc.is_alive():
                     # The worker exited but conn_wait did not surface the
                     # pipe (or it held nothing): drain any results that
@@ -959,15 +796,8 @@ def stream_tasks(
                     # (An exited worker's pipe polls ready on EOF too, so
                     # ``poll()`` alone cannot prove results are pending.)
                     yield from drain(run)
-                    if not run.active:
-                        continue
-                    retire(run)
-                    if run.race is not None:
-                        yield from race_sweep(run.race, now)
-                    elif run.remaining:
-                        yield from crash_retry(
-                            run, now, f"worker died (exitcode {run.proc.exitcode})"
-                        )
+                    if run.active:
+                        yield from ended(run, now, crashed=True)
             running = [r for r in running if r.active]
     finally:
         for run in running:

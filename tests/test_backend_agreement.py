@@ -17,7 +17,7 @@ import shutil
 
 import pytest
 
-from repro.engine import VerificationEngine
+from repro.engine import VerificationSession
 from repro.structures.registry import EXPERIMENTS
 
 METHODS = [
@@ -41,8 +41,12 @@ def _experiment(structure):
 @pytest.mark.parametrize("structure,method", METHODS)
 def test_crosscheck_backend_agrees_on_fast_methods(structure, method):
     exp = _experiment(structure)
-    engine = VerificationEngine(jobs=1, backend="crosscheck:intree,smtlib2")
-    report = engine.verify(exp.program_factory(), exp.ids_factory(), method)
+    with VerificationSession(
+        jobs=1, backend="crosscheck:intree,smtlib2", diagnostics=False
+    ) as session:
+        report = session.verify(
+            exp.program_factory(), exp.ids_factory(), method
+        ).to_report()
     if report.ok:
         return
     # Classify the failures: a verdict disagreement must fail loudly;

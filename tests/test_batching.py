@@ -18,7 +18,7 @@ from repro.core.verifier import Verifier
 from repro.engine import (
     BatchTask,
     VcCache,
-    VerificationEngine,
+    VerificationSession,
     batches_from_plan,
     formula_key,
     solve_tasks,
@@ -53,6 +53,13 @@ def _experiment(structure):
     return next(e for e in EXPERIMENTS if e.structure == structure)
 
 
+def _report(program, ids, method, **session_kw):
+    """One method through a fresh session, in the ``MethodReport`` shape
+    of the sequential ``Verifier.verify`` reference."""
+    with VerificationSession(diagnostics=False, **session_kw) as session:
+        return session.verify(program, ids, method).to_report()
+
+
 @pytest.fixture(scope="module")
 def loaded():
     out = {}
@@ -70,8 +77,8 @@ def loaded():
 @pytest.mark.parametrize("jobs", [1, 4])
 def test_batch_verdicts_match_unbatched(loaded, structure, method, jobs):
     program, ids = loaded[structure]
-    ref = VerificationEngine(jobs=1, batch=False).verify(program, ids, method)
-    bat = VerificationEngine(jobs=jobs, batch=True).verify(program, ids, method)
+    ref = _report(program, ids, method, jobs=1, batch=False)
+    bat = _report(program, ids, method, jobs=jobs, batch=True)
     assert (bat.ok, bat.n_vcs, bat.failed, bat.notes) == (
         ref.ok, ref.n_vcs, ref.failed, ref.notes
     )
@@ -82,20 +89,18 @@ def test_batch_parity_without_simplify(loaded):
     context rewrites each piece itself and must agree with Verifier."""
     program, ids = loaded["Singly-Linked List"]
     ref = Verifier(program, ids, simplify=False).verify("sll_find")
-    bat = VerificationEngine(jobs=1, batch=True, simplify=False).verify(
-        program, ids, "sll_find"
-    )
+    bat = _report(program, ids, "sll_find", jobs=1, batch=True, simplify=False)
     assert (bat.ok, bat.n_vcs, bat.failed) == (ref.ok, ref.n_vcs, ref.failed)
 
 
 def test_batch_and_unbatched_share_the_cache(loaded, tmp_path):
     program, ids = loaded["Sorted List"]
-    cold = VerificationEngine(jobs=1, batch=True, cache_dir=str(tmp_path)).verify(
-        program, ids, "sorted_find"
+    cold = _report(
+        program, ids, "sorted_find", jobs=1, batch=True, cache_dir=str(tmp_path)
     )
     assert cold.cache_hits == 0
-    warm = VerificationEngine(jobs=1, batch=False, cache_dir=str(tmp_path)).verify(
-        program, ids, "sorted_find"
+    warm = _report(
+        program, ids, "sorted_find", jobs=1, batch=False, cache_dir=str(tmp_path)
     )
     # Every solved VC replays from the batched run's entries: per-VC cache
     # keys are identical whether or not the VC was solved in a batch.
@@ -410,15 +415,15 @@ def test_same_run_cache_hits_count_as_dedup(loaded, tmp_path):
     """A verdict written earlier in the same run and replayed by a later
     method is the cross-method dedup rate bench_results.json surfaces."""
     program, ids = loaded["Sorted List"]
-    engine = VerificationEngine(jobs=1, cache_dir=str(tmp_path))
-    first = engine.verify(program, ids, "sorted_find")
-    again = engine.verify(program, ids, "sorted_find")
+    with VerificationSession(
+        jobs=1, cache_dir=str(tmp_path), diagnostics=False
+    ) as session:
+        first = session.verify(program, ids, "sorted_find").to_report()
+        again = session.verify(program, ids, "sorted_find").to_report()
     assert first.cache_hits == 0
     assert again.cache_hits == again.n_vcs
     assert again.dedup_hits == again.n_vcs  # all hits came from this run
-    fresh = VerificationEngine(jobs=1, cache_dir=str(tmp_path)).verify(
-        program, ids, "sorted_find"
-    )
+    fresh = _report(program, ids, "sorted_find", jobs=1, cache_dir=str(tmp_path))
     assert fresh.cache_hits == fresh.n_vcs
     assert fresh.dedup_hits == 0  # pre-existing cache, not this run's work
 
@@ -490,10 +495,54 @@ def _exit_task(timeout_s=30.0):
     )
 
 
-def test_worker_hard_exit_reports_exitcode(exit_backend):
-    (res,) = solve_tasks([_exit_task()], jobs=1)
-    assert res.verdict == "error"
-    assert "worker died (exitcode 3)" in res.detail
+_HARD_EXIT_SCRIPT = """
+import json, sys
+import test_batching as tb
+from repro.engine import solve_tasks
+from repro.engine.backends import register_backend
+
+register_backend("die-exit", lambda arg=None: tb._ExitBackend())
+jobs, timeout_s = json.loads(sys.argv[1])
+print(json.dumps([
+    [r.verdict, r.detail] for r in solve_tasks([tb._exit_task(timeout_s)], jobs=jobs)
+]))
+"""
+
+
+@pytest.mark.parametrize(
+    "jobs,timeout_s", [(1, 30.0), (2, None)], ids=["jobs1-timeout", "jobs2-no-timeout"]
+)
+def test_worker_hard_exit_reports_exitcode(jobs, timeout_s):
+    """A worker that exits hard settles its slot as an ``error`` carrying
+    the exit code, with or without a timeout and at any ``jobs``.  The
+    run happens in a subprocess under a bounded wait, so a parent that
+    hangs on the dead worker fails the test instead of stalling it."""
+    import json
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import repro
+
+    src = Path(repro.__file__).resolve().parents[1]
+    env = dict(
+        os.environ,
+        PYTHONPATH=os.pathsep.join([str(src), str(Path(__file__).resolve().parent)]),
+    )
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-c", _HARD_EXIT_SCRIPT, json.dumps([jobs, timeout_s])],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+    except subprocess.TimeoutExpired:
+        pytest.fail(f"solve_tasks hung on a dead worker (jobs={jobs})")
+    assert proc.returncode == 0, proc.stderr
+    ((verdict, detail),) = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert verdict == "error"
+    assert "worker died (exitcode 3)" in detail
 
 
 def test_worker_death_detected_without_pipe_readiness(exit_backend, monkeypatch):

@@ -18,7 +18,7 @@ from repro.engine import (
     BackendUnavailable,
     UnknownBackendError,
     VcCache,
-    VerificationEngine,
+    VerificationSession,
     formula_key,
     make_backend,
     solve_tasks,
@@ -54,6 +54,13 @@ REPRESENTATIVES = [
 
 def _experiment(structure):
     return next(e for e in EXPERIMENTS if e.structure == structure)
+
+
+def _report(program, ids, method, **session_kw):
+    """One method through a fresh session, in the ``MethodReport`` shape
+    of the sequential ``Verifier.verify`` reference."""
+    with VerificationSession(diagnostics=False, **session_kw) as session:
+        return session.verify(program, ids, method).to_report()
 
 
 @pytest.fixture(scope="module")
@@ -105,7 +112,7 @@ def test_codec_handles_quantifiers():
 def test_parallel_verdicts_match_sequential(loaded, structure, method):
     program, ids = loaded[structure]
     ref = Verifier(program, ids).verify(method)
-    par = VerificationEngine(jobs=2).verify(program, ids, method)
+    par = _report(program, ids, method, jobs=2)
     assert (par.ok, par.n_vcs, par.failed, par.wb_ok, par.ghost_ok, par.notes) == (
         ref.ok, ref.n_vcs, ref.failed, ref.wb_ok, ref.ghost_ok, ref.notes
     )
@@ -114,19 +121,8 @@ def test_parallel_verdicts_match_sequential(loaded, structure, method):
 def test_sequential_engine_matches_verifier(loaded):
     program, ids = loaded["Binary Search Tree"]
     ref = Verifier(program, ids).verify("bst_find")
-    seq = VerificationEngine(jobs=1).verify(program, ids, "bst_find")
+    seq = _report(program, ids, "bst_find", jobs=1)
     assert (seq.ok, seq.n_vcs, seq.failed) == (ref.ok, ref.n_vcs, ref.failed)
-
-
-def test_verify_many_batches_across_methods(loaded):
-    program, ids = loaded["Singly-Linked List"]
-    sp, si = loaded["Sorted List"]
-    engine = VerificationEngine(jobs=2)
-    reports = engine.verify_many(
-        [(program, ids, "sll_find"), (sp, si, "sorted_find")]
-    )
-    assert [r.method for r in reports] == ["sll_find", "sorted_find"]
-    assert all(r.ok for r in reports)
 
 
 # -- cache -------------------------------------------------------------------
@@ -134,10 +130,12 @@ def test_verify_many_batches_across_methods(loaded):
 
 def test_cache_hit_returns_same_report(loaded, tmp_path):
     program, ids = loaded["Singly-Linked List"]
-    engine = VerificationEngine(jobs=1, cache_dir=str(tmp_path))
-    cold = engine.verify(program, ids, "sll_find")
+    with VerificationSession(
+        jobs=1, cache_dir=str(tmp_path), diagnostics=False
+    ) as session:
+        cold = session.verify(program, ids, "sll_find").to_report()
+        warm = session.verify(program, ids, "sll_find").to_report()
     assert cold.cache_hits == 0
-    warm = engine.verify(program, ids, "sll_find")
     assert warm.cache_hits == warm.n_vcs  # every solved VC skipped
     assert (warm.ok, warm.n_vcs, warm.failed, warm.notes) == (
         cold.ok, cold.n_vcs, cold.failed, cold.notes
@@ -147,21 +145,17 @@ def test_cache_hit_returns_same_report(loaded, tmp_path):
 
 
 def test_cache_shared_across_engines(loaded, tmp_path):
-    """A second engine (fresh process in real use) reuses the verdicts."""
+    """A second session (fresh process in real use) reuses the verdicts."""
     program, ids = loaded["Sorted List"]
-    VerificationEngine(jobs=1, cache_dir=str(tmp_path)).verify(
-        program, ids, "sorted_find"
-    )
-    warm = VerificationEngine(jobs=2, cache_dir=str(tmp_path)).verify(
-        program, ids, "sorted_find"
-    )
+    _report(program, ids, "sorted_find", jobs=1, cache_dir=str(tmp_path))
+    warm = _report(program, ids, "sorted_find", jobs=2, cache_dir=str(tmp_path))
     assert warm.cache_hits == warm.n_vcs
 
 
 def test_poisoned_cache_entry_is_detected_and_recomputed(loaded, tmp_path):
     program, ids = loaded["Singly-Linked List"]
-    engine = VerificationEngine(jobs=1, cache_dir=str(tmp_path))
-    cold = engine.verify(program, ids, "sll_find")
+    session = VerificationSession(jobs=1, cache_dir=str(tmp_path), diagnostics=False)
+    cold = session.verify(program, ids, "sll_find").to_report()
     entries = sorted(tmp_path.glob("*/*.json"))
     # Simplification canonicalizes VCs, so several VCs may share one cache
     # entry -- there are never more entries than VCs.
@@ -185,11 +179,12 @@ def test_poisoned_cache_entry_is_detected_and_recomputed(loaded, tmp_path):
     n_poisoned_vcs = sum(1 for k in keys if k in poisoned)
     assert n_poisoned_vcs >= 2
 
-    again = engine.verify(program, ids, "sll_find")
+    again = session.verify(program, ids, "sll_find").to_report()
     assert (again.ok, again.failed) == (cold.ok, cold.failed)
     assert again.cache_hits == again.n_vcs - n_poisoned_vcs  # poisoned re-solved
     # And the recomputed entries were re-published.
-    final = engine.verify(program, ids, "sll_find")
+    final = session.verify(program, ids, "sll_find").to_report()
+    session.close()
     assert final.cache_hits == final.n_vcs
 
 
@@ -246,8 +241,7 @@ def test_formula_key_canonical_fast_path_matches():
 
 def test_per_task_timeout_reports_budget_not_hang(loaded):
     program, ids = loaded["Binary Search Tree"]
-    engine = VerificationEngine(jobs=2, timeout_s=0.05)
-    report = engine.verify(program, ids, "bst_find")
+    report = _report(program, ids, "bst_find", jobs=2, timeout_s=0.05)
     assert not report.ok
     assert report.timeouts > 0
     assert any(": timeout (" in f for f in report.failed)
@@ -260,9 +254,10 @@ def test_method_budget_bounds_the_bag(loaded):
     # The budget must expire mid-bag: simplification makes bst_find's whole
     # solve phase sub-second, so the budget has to be far below one worker
     # spawn (~50ms) to guarantee unfinished tasks remain.
-    engine = VerificationEngine(jobs=2, timeout_s=30, method_budget_s=0.05)
     start = time.perf_counter()
-    report = engine.verify(program, ids, "bst_find")
+    report = _report(
+        program, ids, "bst_find", jobs=2, timeout_s=30, method_budget_s=0.05
+    )
     wall = time.perf_counter() - start
     assert wall < 20  # plan + ~0.05s of solving, not n_vcs * timeout
     assert any("method budget" in f for f in report.failed)
@@ -275,7 +270,7 @@ def test_backend_registry_rejects_unknown_names():
     with pytest.raises(UnknownBackendError):
         make_backend("does-not-exist")
     with pytest.raises(UnknownBackendError):
-        VerificationEngine(backend="does-not-exist")
+        VerificationSession(backend="does-not-exist")
 
 
 def test_backend_registry_contents():
@@ -316,9 +311,7 @@ def test_custom_backend_registration(loaded):
     register_backend("echo-valid", lambda arg=None: EchoValid())
     try:
         program, ids = loaded["Singly-Linked List"]
-        report = VerificationEngine(jobs=1, backend="echo-valid").verify(
-            program, ids, "sll_find"
-        )
+        report = _report(program, ids, "sll_find", jobs=1, backend="echo-valid")
         assert report.ok  # every VC "solved" by the stub
     finally:
         from repro.engine.backends import _REGISTRY

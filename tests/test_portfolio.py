@@ -9,6 +9,7 @@ after the stream ends.
 """
 
 import multiprocessing as mp
+import os
 import time
 
 import pytest
@@ -93,14 +94,22 @@ class _UnknownBackend(SolverBackend):
         return BackendVerdict("unknown", "gave up")
 
 
+class _DyingBackend(SolverBackend):
+    name = "dies"
+
+    def check_validity(self, formula, conflict_budget=None, pre_simplified=False):
+        os._exit(3)
+
+
 @pytest.fixture
 def race_backends():
     register_backend("fastwin", lambda arg=None: _FastValidBackend())
     register_backend("sleeper", lambda arg=None: _SleepForeverBackend())
     register_backend("erroring", lambda arg=None: _ErroringBackend())
     register_backend("shrugs", lambda arg=None: _UnknownBackend())
+    register_backend("dies", lambda arg=None: _DyingBackend())
     yield
-    for name in ("fastwin", "sleeper", "erroring", "shrugs"):
+    for name in ("fastwin", "sleeper", "erroring", "shrugs", "dies"):
         _REGISTRY.pop(name, None)
 
 
@@ -233,6 +242,40 @@ def test_race_with_no_definitive_member_reports_fallback(race_backends):
     (res,) = solve_tasks(tasks, jobs=1)
     assert res.verdict == "error"
     assert res.winner is None
+    assert mp.active_children() == []
+
+
+def test_race_member_death_leaves_the_race(race_backends):
+    """A member whose worker dies just leaves the race: the live member's
+    verdict wins, with no retry charged to the slot."""
+    tasks = [
+        _canonical_task(
+            T.mk_le(T.mk_const("race_die_one", INT), T.mk_int(3)),
+            0,
+            "vc-0",
+            "portfolio:dies,fastwin",
+        )
+    ]
+    (res,) = solve_tasks(tasks, jobs=1)
+    assert (res.verdict, res.winner, res.retries) == ("valid", "fastwin", 0)
+    assert mp.active_children() == []
+
+
+def test_race_with_every_member_dead_goes_to_crash_policy(race_backends):
+    """Once no member is left, the unanswered slots take the plain
+    unit's retry/quarantine path: the race is re-run, then quarantined
+    when it dies again without progress."""
+    tasks = [
+        _canonical_task(
+            T.mk_le(T.mk_const("race_die_all", INT), T.mk_int(3)),
+            0,
+            "vc-0",
+            "portfolio:dies,dies",
+        )
+    ]
+    (res,) = solve_tasks(tasks, jobs=1)
+    assert res.verdict == "error" and res.quarantined and res.retries == 1
+    assert "worker died (exitcode 3)" in res.detail
     assert mp.active_children() == []
 
 

@@ -1,4 +1,4 @@
-"""Regression tests for three scheduler verdict-loss/accounting bugs.
+"""Regression tests for scheduler verdict-loss/accounting bugs.
 
 1. ``deadline_s`` expiry used to terminate workers without draining
    their pipes, so verdicts a worker had already streamed were discarded
@@ -11,11 +11,15 @@
    errored entry, attributing the elapsed time to the first entry and
    re-charging ~0 to the rest by accident of iteration order; the time
    is now charged once, explicitly.
+4. A forked worker kept its parent's Python-level SIGTERM handler.  One
+   that returns (the daemon's drain trigger) let the worker survive the
+   parent's kill, so a timed-out unit was waited on for its whole solve.
 
 Each test fails against the pre-fix scheduler.
 """
 
 import multiprocessing as mp
+import signal
 import time
 
 import pytest
@@ -279,3 +283,24 @@ def test_batch_context_failure_charges_elapsed_once():
     # (to the first errored entry); the other entry is explicitly free.
     assert results[1].time_s >= 0.04
     assert results[2].time_s == 0.0
+
+
+# -- 4: workers reset inherited signal handlers ------------------------------
+
+
+def test_timeout_kills_worker_despite_returning_sigterm_handler(sleepy_backend):
+    """With a parent SIGTERM handler that returns, a 0.5s timeout on a
+    30s solve still ends in a ``timeout`` within a few seconds: the
+    worker drops the inherited handler, so the kill ends it."""
+    slow = T.mk_le(T.mk_const("slow", INT), T.mk_int(3))
+    task = _canonical_task(slow, 0, "vc-slow", "sleepy-dl", timeout_s=0.5)
+    previous = signal.signal(signal.SIGTERM, lambda signum, frame: None)
+    try:
+        start = time.perf_counter()
+        (res,) = solve_tasks([task], jobs=1)
+        elapsed = time.perf_counter() - start
+    finally:
+        signal.signal(signal.SIGTERM, previous)
+    assert res.verdict == "timeout"
+    assert elapsed < 5
+    assert mp.active_children() == []

@@ -1,5 +1,5 @@
 """Session-API tests: event-stream contract, result parity with the
-sequential reference and the legacy engine shim, countermodel
+sequential reference and its ``MethodReport`` shape, countermodel
 diagnostics in original-VC vocabulary, the CLI exit-code contract, and
 the schema-v4 validator.
 
@@ -26,11 +26,7 @@ import pytest
 
 from repro import cli
 from repro.core.verifier import PlannedVC, Verifier
-from repro.engine import (
-    VerificationEngine,
-    VerificationRequest,
-    VerificationSession,
-)
+from repro.engine import VerificationRequest, VerificationSession
 from repro.engine.backends import (
     _REGISTRY,
     BackendVerdict,
@@ -97,10 +93,11 @@ def test_session_matches_sequential_reference(loaded, reference, structure, meth
 
 
 def test_legacy_engine_shim_matches_session(loaded, reference):
+    """``to_report()`` -- the shape the removed blocking engine returned
+    -- carries the sequential reference's verdicts."""
     program, ids = loaded[OK_METHOD[0]]
-    engine = VerificationEngine(jobs=1)
-    with pytest.warns(DeprecationWarning):
-        report = engine.verify(program, ids, OK_METHOD[1])
+    with VerificationSession(jobs=1) as session:
+        report = session.verify(program, ids, OK_METHOD[1]).to_report()
     ref = reference[OK_METHOD[1]]
     assert (report.ok, report.n_vcs, report.failed) == (ref.ok, ref.n_vcs, ref.failed)
 
@@ -258,29 +255,30 @@ def test_vcevent_json_round_trip(loaded):
         assert VcEvent.from_json(doc).to_json() == doc
 
 
-def test_persistent_pool_is_reused_across_submits(loaded):
-    program, ids = loaded[OK_METHOD[0]]
-    with VerificationSession(jobs=2, diagnostics=False) as session:
-        session.verify(program, ids, "sll_find")
-        pool = session._pool
-        assert pool is not None
-        session.verify(program, ids, "sll_find")
-        assert session._pool is pool
-    assert session._pool is None  # closed on exit
+def test_warm_cache_run_spawns_no_pool(loaded, tmp_path, monkeypatch):
+    """A fully cached run at jobs=2 answers every slot from the cache
+    and starts no worker process."""
+    from multiprocessing.process import BaseProcess
 
-
-def test_warm_cache_run_spawns_no_pool(loaded, tmp_path):
     program, ids = loaded[OK_METHOD[0]]
     with VerificationSession(
         jobs=2, cache_dir=str(tmp_path), diagnostics=False
     ) as cold:
         cold.verify(program, ids, OK_METHOD[1])
+    starts = []
+    real_start = BaseProcess.start
+
+    def counting_start(self):
+        starts.append(self)
+        return real_start(self)
+
+    monkeypatch.setattr(BaseProcess, "start", counting_start)
     with VerificationSession(
         jobs=2, cache_dir=str(tmp_path), diagnostics=False
     ) as warm:
         result = warm.verify(program, ids, OK_METHOD[1])
-        assert result.cache_hits > 0
-        assert warm._pool is None, "fully cached runs must not fork workers"
+    assert result.cache_hits == result.n_vcs > 0
+    assert starts == [], "fully cached runs must not fork workers"
 
 
 # -- worker-death and batch-timeout event paths ------------------------------
